@@ -58,6 +58,8 @@ def _elements(args, ring=None):
 
 def cmd_compare(args) -> int:
     m = parse_matrix(args.matrix)
+    if not validate_matrix(m):
+        raise ValueError(f"not a valid order matrix: {m}")
     left = _exponents(args.left)
     right = _exponents(args.right)
     if len(left) != m.ncols or len(right) != m.ncols:
@@ -175,13 +177,16 @@ def cmd_search(args) -> int:
         pool = [parse_element(e, args.ring) for e in args.pool.split(";")]
     else:
         pool = _default_pool(elements, args.ring)
+    searched = {}
     found = independence_search(elements, matrix, args.max_degree, pool,
                                 exact_degree=args.exact_degree,
-                                require_unit=args.require_unit)
+                                require_unit=args.require_unit,
+                                stats=searched)
     _emit({"command": "search", "elements": args.elements,
            "max_degree": args.max_degree, "exact_degree": args.exact_degree,
            "require_unit": args.require_unit, "pool_size": len(pool),
-           "found": None if found is None else str(found)})
+           "found": None if found is None else str(found),
+           "searched": searched})
     return 0
 
 

@@ -784,7 +784,8 @@ def random_r_element(rng, kind="any") -> FractionElem:
         (random_monoid_elem(rng, QU, max_terms=1, min_positive=True)
          if rng.random() < 0.5 else MonoidRingElem.zero(QU))
     out = FractionElem(num, den)
-    assert r_membership(out) is not None
+    if r_membership(out) is None:
+        raise NotInRing("generated element left R")
     if not out:
         return random_r_element(rng, kind)
     return out

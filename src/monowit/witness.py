@@ -153,7 +153,8 @@ def r_pair_witness(a: FractionElem, b: FractionElem, swap: bool = False) -> Witn
         return t
     w = _pair_witness(a, b, swap, strict=True)
     for c in w.poly.terms.values():
-        assert r_membership(c) is not None
+        if r_membership(c) is None:
+            raise NotInRing("witness coefficient left R")
     return w
 
 
@@ -294,7 +295,8 @@ def quot_v_lex_oracle(b_elements) -> Witness:
     for i, b in enumerate(bs):
         if b.valuation().sign() <= 0:
             inv = b.inverse()
-            assert inv.is_localization_member()
+            if not inv.is_localization_member():
+                raise NotInRing("inverse of a value <= 0 element left the valuation ring")
             poly = LaurentPoly({(0,) * n: inv.one(),
                                 _unit_vector(n, i): -inv}, n)
             return Witness(poly, lex, note=f"element {i + 1} has value <= 0")
@@ -304,7 +306,8 @@ def quot_v_lex_oracle(b_elements) -> Witness:
     g2 = bs[1].valuation()
     k = max(quad_floor_ratio(g1, g2, "ceil"), 1)
     c = bs[1] ** k / bs[0]
-    assert c.is_localization_member()
+    if not c.is_localization_member():
+        raise NotInRing("oracle cofactor left the valuation ring")
     e_lo = tuple(k if j == 1 else 0 for j in range(n))
     poly = LaurentPoly({e_lo: c.one(), _unit_vector(n, 0): -c}, n)
     return Witness(poly, lex)
@@ -470,11 +473,200 @@ def _val_add(x, y):
     return x + y
 
 
-def _plain_monoid_term(x) -> bool:
-    """One monoid term over a trivial denominator (dens are normalized,
-    so a single-term denominator is exactly 1)."""
-    return (isinstance(x, FractionElem) and len(x.den.coeffs) == 1
-            and len(x.num.coeffs) == 1)
+def _monoid_term_table(mon_values, pool):
+    """Per slot and pool entry, the monoid terms {exponent: coefficient}
+    of the product, taken straight from the two numerators; an empty dict
+    for a zero pool entry. None unless every factor is a FractionElem of
+    one field over a trivial denominator (dens are normalized, so a
+    single-term denominator is exactly 1)."""
+    factors = [x for x in (*mon_values, *pool) if x]
+    if not all(isinstance(x, FractionElem) and len(x.den.coeffs) == 1
+               for x in factors):
+        return None
+    if len({x.field for x in factors}) > 1:
+        return None
+    table = []
+    for mv in mon_values:
+        row = []
+        for c in pool:
+            prod = {}
+            if c:
+                for g1, c1 in c.num.coeffs.items():
+                    for g2, c2 in mv.num.coeffs.items():
+                        g = g1 + g2
+                        s = c1 * c2
+                        if g in prod:
+                            s = prod[g] + s
+                            if not s:
+                                del prod[g]
+                                continue
+                        prod[g] = s
+            row.append(prod)
+        table.append(row)
+    return table
+
+
+def _kernel_search(table, leaf_ok, chosen, pool, counts) -> bool:
+    """Depth-first search over precomputed monoid terms, keeping the
+    partial sum in one dict keyed by exponent id, updated in place and
+    restored when a step returns.
+
+    When every product is a single monoid term, a partial sum can only
+    lose support exponents by later terms landing on exactly the same
+    exponent, one exponent per slot: the support cannot exceed the slots
+    left, and every support exponent must stay reachable by a later slot.
+    A step's support follows from whether its term is new, cancels or
+    merges, so these cuts are decided before any coefficient is added.
+    Otherwise ids are ranked by exponent order and a partial sum whose
+    valuation is strictly below every valuation the remaining slots can
+    add is cut. Every cut removes only branches with no vanishing
+    completion."""
+    nslots = len(table)
+    single = all(len(p) <= 1 for row in table for p in row)
+    exponents = {g for row in table for p in row for g in p}
+    ids = {g: i for i, g in enumerate(exponents if single else sorted(exponents))}
+    terms = [[tuple((ids[g], x) for g, x in p.items()) for p in row]
+             for row in table]
+    acc = {}
+    get = acc.get
+    nodes = cut_support = cut_reach = cut_val = 0
+
+    if single:
+        def with_negation(p):
+            (g, x), = p
+            return g, x, -x
+
+        steps = [[with_negation(p) if p else None for p in row] for row in terms]
+        reach = [frozenset()] * (nslots + 1)
+        for t in range(nslots - 1, -1, -1):
+            reach[t] = reach[t + 1] | {s[0] for s in steps[t] if s}
+
+        def dfs(t):
+            nonlocal nodes, cut_support, cut_reach
+            nodes += 1
+            if t == nslots:
+                return not acc and leaf_ok()
+            left = nslots - t - 1
+            later = reach[t + 1]
+            size = len(acc)
+            outside = [g for g in acc if g not in later]
+            for c, step in zip(pool, steps[t]):
+                if step is None:
+                    new_size, bad = size, bool(outside)
+                else:
+                    g, x, neg = step
+                    old = get(g)
+                    if old is None:
+                        new_size, bad = size + 1, bool(outside) or g not in later
+                    elif old == neg:
+                        new_size, bad = size - 1, any(k != g for k in outside)
+                    else:
+                        new_size, bad = size, bool(outside)
+                if new_size:
+                    if new_size > left:
+                        cut_support += 1
+                        continue
+                    if bad:
+                        cut_reach += 1
+                        continue
+                chosen[t] = c
+                if step is not None:
+                    if old is None:
+                        acc[g] = x
+                    elif new_size < size:
+                        del acc[g]
+                    else:
+                        acc[g] = old + x
+                if dfs(t + 1):
+                    return True
+                if step is not None:
+                    if old is None:
+                        del acc[g]
+                    else:
+                        acc[g] = old
+            chosen[t] = None
+            return False
+    else:
+        floor = [len(ids)] * (nslots + 1)
+        for t in range(nslots - 1, -1, -1):
+            slot_min = min((g for p in terms[t] for g, _ in p), default=len(ids))
+            floor[t] = min(slot_min, floor[t + 1])
+
+        def dfs(t):
+            nonlocal nodes, cut_val
+            nodes += 1
+            if t == nslots:
+                return not acc and leaf_ok()
+            later = floor[t + 1]
+            for c, step in zip(pool, terms[t]):
+                saved = [(g, get(g)) for g, _ in step]
+                for g, x in step:
+                    old = get(g)
+                    if old is None:
+                        acc[g] = x
+                    else:
+                        s = old + x
+                        if s:
+                            acc[g] = s
+                        else:
+                            del acc[g]
+                if acc and min(acc) < later:
+                    cut_val += 1
+                else:
+                    chosen[t] = c
+                    if dfs(t + 1):
+                        return True
+                for g, old in saved:
+                    if old is None:
+                        del acc[g]
+                    else:
+                        acc[g] = old
+            chosen[t] = None
+            return False
+
+    found = dfs(0)
+    counts.update(nodes=nodes, cut_by_support=cut_support,
+                  cut_by_reach=cut_reach, cut_by_valuation=cut_val)
+    return found
+
+
+def _generic_search(mon_values, leaf_ok, chosen, pool, counts) -> bool:
+    """Depth-first search over ring elements: any ring with a valuation,
+    cut by the valuation alone."""
+    nslots = len(mon_values)
+    pool_vals = [c.valuation() for c in pool if c]
+    suffix_min = [None] * (nslots + 1)
+    for t in range(nslots - 1, -1, -1):
+        base = mon_values[t].valuation()
+        later = suffix_min[t + 1]
+        if base is None:
+            suffix_min[t] = later
+            continue
+        term_min = min(_val_add(base, pv) for pv in pool_vals)
+        suffix_min[t] = term_min if later is None else min(term_min, later)
+    nodes = cut_val = 0
+
+    def dfs(t, acc):
+        nonlocal nodes, cut_val
+        nodes += 1
+        if t == nslots:
+            return not acc and leaf_ok()
+        later = suffix_min[t + 1]
+        for c in pool:
+            nxt = acc + c * mon_values[t] if c else acc
+            if nxt and (later is None or nxt.valuation() < later):
+                cut_val += 1
+                continue
+            chosen[t] = c
+            if dfs(t + 1, nxt):
+                return True
+        chosen[t] = None
+        return False
+
+    found = dfs(0, mon_values[0] - mon_values[0])
+    counts.update(nodes=nodes, cut_by_support=0, cut_by_reach=0,
+                  cut_by_valuation=cut_val)
+    return found
 
 
 def _exponents_of_degree(n: int, d: int):
@@ -490,20 +682,36 @@ def _exponents_of_degree(n: int, d: int):
 
 def independence_search(elements, matrix: OrderMatrix | None, max_degree: int, pool,
                         *, exact_degree: int | None = None,
-                        require_unit: bool = False) -> LaurentPoly | None:
+                        require_unit: bool = False,
+                        stats: dict | None = None) -> LaurentPoly | None:
     """First vanishing combination over the coefficient pool, or None.
 
     Monomials up to max_degree (or of exactly exact_degree) are assigned
     pool coefficients depth-first, monomials in degree-then-lex order and
-    the pool in its given order. A partial sum whose value is strictly
-    below every value still achievable by the remaining terms can never
-    cancel, so that branch is cut; the cut preserves which solution is
-    found first.
+    the pool in its given order. Branches that can never cancel are cut;
+    every cut preserves which solution is found first.
+
+    When every monomial value and nonzero pool entry is a FractionElem of
+    one field over denominator 1, an incremental kernel runs over the
+    precomputed monoid terms of each slot and pool product. If all those
+    products are single monoid terms it cuts a partial sum whose support
+    exceeds the slots left or holds an exponent no later slot reaches;
+    otherwise it cuts a partial sum whose valuation is strictly below
+    every valuation the remaining slots can add. Any other input (a
+    nontrivial denominator, elements of W) takes a generic search over
+    ring elements with the valuation cut alone.
 
     The accepted combination must have a coefficient-one monomial minimal
     over its support under the matrix or, with require_unit, some unit
     coefficient.
+
+    A stats dict, when given, receives nodes (search nodes entered) and
+    cut_by_support, cut_by_reach and cut_by_valuation (branches cut).
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    if exact_degree is not None and exact_degree < 0:
+        raise ValueError(f"exact_degree must be nonnegative, got {exact_degree}")
     n = len(elements)
     if exact_degree is not None:
         exps = _exponents_of_degree(n, exact_degree)
@@ -511,36 +719,7 @@ def independence_search(elements, matrix: OrderMatrix | None, max_degree: int, p
         exps = [e for d in range(max_degree + 1) for e in _exponents_of_degree(n, d)]
     mon_values = [evaluate(LaurentPoly.monomial(e, Fraction(1), n), elements)
                   if any(e) else _one_of(elements[0]) for e in exps]
-    zero = elements[0] - elements[0]
     pool = list(pool)
-    nonzero_pool = [c for c in pool if c]
-    pool_vals = [c.valuation() for c in nonzero_pool]
-    term_min = []
-    for mv in mon_values:
-        base = mv.valuation()
-        term_min.append(min(_val_add(base, pv) for pv in pool_vals))
-    suffix_min = [None] * (len(exps) + 1)
-    for t in range(len(exps) - 1, -1, -1):
-        later = suffix_min[t + 1]
-        suffix_min[t] = term_min[t] if later is None else min(term_min[t], later)
-
-    # When every candidate term is a single monoid term over a trivial
-    # denominator, a partial sum can only lose support exponents by later
-    # terms landing on exactly the same exponent, one exponent per slot.
-    # Every support exponent must then stay reachable and the support
-    # cannot exceed the number of slots left. Both cuts only remove
-    # branches with no vanishing completion, so the first hit is kept.
-    fast = (all(_plain_monoid_term(x) for x in mon_values)
-            and all(_plain_monoid_term(c) for c in nonzero_pool))
-    suffix_exps = [frozenset()] * (len(exps) + 1)
-    if fast:
-        cur = frozenset()
-        for t in range(len(exps) - 1, -1, -1):
-            slot = {_val_add(mon_values[t].valuation(), pv)
-                    for pv in pool_vals}
-            cur = cur | slot
-            suffix_exps[t] = cur
-
     chosen = [None] * len(exps)
 
     def leaf_ok():
@@ -556,29 +735,17 @@ def independence_search(elements, matrix: OrderMatrix | None, max_degree: int, p
                 return True
         return False
 
-    def dfs(t, acc):
-        if t == len(exps):
-            return not acc and leaf_ok()
-        for c in pool:
-            nxt = acc + c * mon_values[t] if c else acc
-            if nxt:
-                if fast:
-                    buckets = nxt.num.coeffs
-                    if (len(buckets) > len(exps) - t - 1
-                            or any(g not in suffix_exps[t + 1]
-                                   for g in buckets)):
-                        continue
-                else:
-                    later = suffix_min[t + 1]
-                    if later is None or nxt.valuation() < later:
-                        continue
-            chosen[t] = c
-            if dfs(t + 1, nxt):
-                return True
-        chosen[t] = None
-        return False
-
-    if dfs(0, zero):
+    counts = stats if stats is not None else {}
+    if not any(pool):
+        counts.update(nodes=0, cut_by_support=0, cut_by_reach=0,
+                      cut_by_valuation=0)
+        return None
+    table = _monoid_term_table(mon_values, pool)
+    if table is not None:
+        found = _kernel_search(table, leaf_ok, chosen, pool, counts)
+    else:
+        found = _generic_search(mon_values, leaf_ok, chosen, pool, counts)
+    if found:
         return LaurentPoly({e: c for e, c in zip(exps, chosen) if c}, n)
     return None
 

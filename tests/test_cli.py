@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from monowit.cli import main
 from monowit.parsing import parse_matrix, parse_poly
 
@@ -127,6 +129,35 @@ def test_search(capsys):
     assert code == 0 and doc["found"] is None
     code, out, err = run(capsys, "search", "--ring", "V", "v", "v^(2)")
     assert code == 2
+
+
+def test_search_reports_how_much_it_searched(capsys):
+    argv = ["search", "--ring", "R", "--matrix", "1,1", "v", "u*v"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["found"] is None
+    searched = doc["searched"]
+    assert set(searched) == {"nodes", "cut_by_support", "cut_by_reach",
+                             "cut_by_valuation"}
+    assert searched["nodes"] > 0
+    assert searched["cut_by_support"] + searched["cut_by_reach"] > 0
+    code, again = run_json(capsys, *argv)
+    assert again["searched"] == searched
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--matrix=1,-1", "1,0", "0,1"],
+    ["compare", "--matrix=0,0", "1,0", "0,1"],
+    ["search", "--ring", "V", "--matrix", "1,1", "--max-degree", "-1",
+     "v", "v^(2)"],
+    ["search", "--ring", "V", "--matrix", "1,1", "--exact-degree", "-1",
+     "v", "v^(2)"],
+], ids=["compare_negative_column", "compare_zero_column",
+        "search_negative_max_degree", "search_negative_exact_degree"])
+def test_rejected_inputs_exit_2_without_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_suite_command(capsys):

@@ -1,14 +1,21 @@
 """Tests for witness construction, transport and refutation search."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from monowit.laurent import LaurentPoly, evaluate
+import monowit.witness as witness_module
+from monowit.laurent import LaurentPoly, evaluate, minimal_monomials, one_like
 from monowit.orders import OrderMatrix, lex_matrix
 from monowit.rings import (
     FractionElem,
+    EXPONENT_POOL,
     MonoidRingElem,
     NotInRing,
     QQ,
@@ -129,6 +136,40 @@ def test_r_pair_witness_unit_and_rejection():
     outside = FractionElem(one.scale(RatFun1.var()))
     with pytest.raises(NotInRing):
         r_pair_witness(outside, vu(1))
+
+
+# r_pair_witness on (v^3, v^2) in R while r_membership accepts only the
+# inputs: the cofactor check must reject the witness.
+_COFACTOR_CHECK = """
+import monowit.witness as W
+from monowit.rings import QU, FractionElem, NotInRing
+a, b = FractionElem.v_power(QU, 3), FractionElem.v_power(QU, 2)
+real = W.r_membership
+W.r_membership = lambda x: real(x) if x is a or x is b else None
+try:
+    W.r_pair_witness(a, b)
+except NotInRing:
+    print("raised")
+"""
+
+
+def test_r_pair_witness_rejects_cofactor_outside_r(monkeypatch):
+    a, b = vu(3), vu(2)
+    monkeypatch.setattr(witness_module, "r_membership",
+                        lambda x: r_membership(x) if x is a or x is b else None)
+    with pytest.raises(NotInRing):
+        r_pair_witness(a, b)
+
+
+def test_r_pair_witness_cofactor_check_survives_optimize():
+    """python -O strips assert statements; the check must still run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _COFACTOR_CHECK],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_r_pair_witness_random_both_orders():
@@ -376,6 +417,10 @@ def test_independence_search_negative_control():
     v, vs = vq(1), vq(SQRT2)
     pool = [FractionElem.const(QQ, 0), one_q(), -one_q()]
     assert independence_search([v, vs], lex_matrix(2), 1, pool) is None
+    stats = {}
+    assert independence_search([v, vs], lex_matrix(2), 1, pool[:1],
+                               stats=stats) is None
+    assert stats["nodes"] == 0
 
 
 def test_independence_search_unit_mode():
@@ -395,6 +440,165 @@ def test_independence_search_unit_mode():
 
 def vs_elem():
     return vq(SQRT2)
+
+
+def brute_force_search(elements, matrix, degrees, pool, require_unit=False):
+    """The first hit of independence_search by plain enumeration: every
+    assignment of pool entries to the monomials of the given degrees,
+    monomials in degree-then-lex order and the pool in its given order,
+    with the same acceptance test and no cuts."""
+    n = len(elements)
+    slots = sorted((e for e in itertools.product(range(max(degrees) + 1), repeat=n)
+                    if sum(e) in degrees), key=lambda e: (sum(e), e))
+    one = elements[0].one()
+    products = []
+    for e in slots:
+        value = one
+        for a, k in zip(elements, e):
+            for _ in range(k):
+                value = value * a
+        products.append([c * value if c else None for c in pool])
+    zero = one - one
+    for choice in itertools.product(range(len(pool)), repeat=len(slots)):
+        total = zero
+        for row, j in zip(products, choice):
+            if row[j] is not None:
+                total = total + row[j]
+        if total:
+            continue
+        support = {e: pool[j] for e, j in zip(slots, choice) if pool[j]}
+        if not support:
+            continue
+        if require_unit:
+            ok = any(c.is_unit() for c in support.values())
+        else:
+            cand = LaurentPoly(support, n)
+            ok = any(cand.terms[e] == one_like(cand.terms[e])
+                     for e in minimal_monomials(cand, matrix))
+        if ok:
+            return LaurentPoly(support, n)
+    return None
+
+
+def _search_differential_cases():
+    """(name, path, elements, matrix, degree options, pool, has a hit).
+    path names the cuts independence_search applies: "terms" for the
+    support and reach cuts, "valuation" for the valuation cut of the
+    multi-term kernel and of the generic search."""
+    v, v2, vs = vq(1), vq(2), vq(SQRT2)
+    q0, q1 = FractionElem.const(QQ, 0), one_q()
+    small = [q0, q1, -q1]
+    with_v = small + [v, -v]
+    rv, rv2 = vu(1), vu(2)
+    ruv = FractionElem(MonoidRingElem(QU, {QuadScalar(1): RatFun1.var()}))
+    r1 = FractionElem.const(QU, 1)
+    r_small = [FractionElem.const(QU, 0), r1, -r1]
+    # v / (1 + v): a nontrivial denominator
+    vd = FractionElem(MonoidRingElem(QQ, {QuadScalar(1): 1}),
+                      MonoidRingElem(QQ, {QuadScalar(0): 1, QuadScalar(1): 1}))
+    wv, wv2 = WElem.monomial(1, 0), WElem.monomial(2, 0)
+    wuv, wu = WElem.monomial(1, 1), WElem.monomial(0, 1)
+    w1 = WElem.const(1)
+    w_small = [WElem.const(0), w1, -w1]
+    lex2, graded = lex_matrix(2), OrderMatrix([[1, 1]])
+    irr = OrderMatrix([[QuadScalar(1), SQRT2]])
+    d1, d2 = {"max_degree": 1}, {"max_degree": 2}
+    return [
+        ("v_terms_hit_d1", "terms", [v, v2], lex2, d1, with_v, True),
+        ("v_terms_hit_d2", "terms", [v, v2], graded, d2, small, True),
+        ("v_terms_none_d1", "terms", [v, vs], lex2, d1, with_v, False),
+        ("v_terms_zero_d1", "terms", [q0, v], lex2, d1, small, True),
+        ("v_terms_none_d2", "terms", [v, vs], irr, d2, small, False),
+        ("r_terms_hit_d1", "terms", [rv, rv2], lex2, d1, r_small + [rv, -rv], True),
+        ("r_terms_hit_d2", "terms", [rv, rv2], graded, d2, r_small, True),
+        ("r_terms_none_d1", "terms", [rv, ruv], graded, d1, r_small + [rv, -rv], False),
+        ("r_terms_none_d2", "terms", [rv, ruv], graded, d2, r_small, False),
+        ("v_sum_hit_d1", "valuation", [v, v + v2], lex2, d1, small + [-(q1 + v)], True),
+        ("v_sum_hit_d2", "valuation", [v + v2, v], lex2, d2, small, True),
+        ("v_sum_none_d1", "valuation", [v + v2, v], lex2, d1, with_v, False),
+        ("v_sum_none_d2", "valuation", [v + vs, v], lex2, d2, small, False),
+        ("v_sum_zero_d1", "valuation", [q0, v + v2], lex2, d1, small, True),
+        ("v_den_hit_d1", "valuation", [vd, v], lex2, d1, small + [-(q1 + v)], True),
+        ("v_den_hit_d2", "valuation", [vd, v], lex2, d2, small, True),
+        ("v_den_none_d1", "valuation", [vd, vs], lex2, d1, with_v, False),
+        ("v_den_none_d2", "valuation", [vd, vs], lex2, d2, small, False),
+        ("v_den_zero_d1", "valuation", [q0, vd], lex2, d1, small, True),
+        ("w_pair_hit_d1", "valuation", [wv, wuv], graded, d1, w_small + [wu, -wu], True),
+        ("w_pair_hit_d2", "valuation", [wv, wv2], graded, d2, w_small, True),
+        ("w_pair_none_d1", "valuation", [wv, wuv], graded, d1, w_small, False),
+        ("w_pair_none_d2", "valuation", [wv, wuv], graded, d2, w_small, False),
+        ("v_unit_hit_e1", "terms", [v, v2], None,
+         {"exact_degree": 1, "require_unit": True}, with_v, True),
+        ("v_unit_hit_e2", "terms", [v, v2], None,
+         {"exact_degree": 2, "require_unit": True}, with_v, True),
+        ("v_unit_none_e1", "terms", [v, vs], None,
+         {"exact_degree": 1, "require_unit": True}, small, False),
+        ("r_unit_none_e2", "terms", [rv, ruv], None,
+         {"exact_degree": 2, "require_unit": True},
+         r_small + [rv, -rv, ruv, -ruv], False),
+    ]
+
+
+def _run_against_brute_force(elements, matrix, options, pool):
+    options = dict(options)
+    degree = options.pop("exact_degree", None)
+    require_unit = options.pop("require_unit", False)
+    max_degree = options.pop("max_degree", 0)
+    degrees = [degree] if degree is not None else list(range(max_degree + 1))
+    stats = {}
+    found = independence_search(elements, matrix, max_degree, pool,
+                                exact_degree=degree, require_unit=require_unit,
+                                stats=stats)
+    expected = brute_force_search(elements, matrix, degrees, pool, require_unit)
+    return found, expected, stats
+
+
+@pytest.mark.parametrize("case", _search_differential_cases(), ids=lambda c: c[0])
+def test_independence_search_matches_brute_force(case):
+    name, path, elements, matrix, options, pool, has_hit = case
+    found, expected, stats = _run_against_brute_force(elements, matrix, options, pool)
+    assert (expected is not None) == has_hit, name
+    assert found == expected
+    if path == "terms":
+        assert stats["cut_by_valuation"] == 0
+    else:
+        assert stats["cut_by_support"] == stats["cut_by_reach"] == 0
+
+
+def test_independence_search_cuts_fire_on_every_path():
+    """The differential cases test the cuts only where the cuts fire."""
+    totals = {}
+    for name, _, elements, matrix, options, pool, _ in _search_differential_cases():
+        options = dict(options)
+        stats = {}
+        independence_search(elements, matrix, options.pop("max_degree", 0), pool,
+                            stats=stats, **options)
+        group = "_".join(name.split("_")[:2])
+        for key, count in stats.items():
+            totals[group, key] = totals.get((group, key), 0) + count
+    for group, key in [("v_terms", "cut_by_support"), ("v_terms", "cut_by_reach"),
+                       ("r_terms", "cut_by_support"), ("r_terms", "cut_by_reach"),
+                       ("v_sum", "cut_by_valuation"), ("v_den", "cut_by_valuation"),
+                       ("w_pair", "cut_by_valuation"), ("r_unit", "cut_by_support")]:
+        assert totals[group, key] > 0, (group, key)
+
+
+def test_independence_search_matches_brute_force_random():
+    rng = random.Random(97)
+    matrices = [lex_matrix(2), OrderMatrix([[1, 1]]),
+                OrderMatrix([[QuadScalar(1), SQRT2]])]
+    q0, q1 = FractionElem.const(QQ, 0), one_q()
+    for _ in range(16):
+        def elem():
+            terms = {rng.choice(EXPONENT_POOL): rng.choice([1, -1, 2])
+                     for _ in range(rng.choice([1, 1, 2]))}
+            return FractionElem(MonoidRingElem(QQ, terms))
+        elements = [elem(), elem()]
+        pool = [q0, q1, -q1] + [s * vq(rng.choice(EXPONENT_POOL))
+                                for s in rng.sample([q1, -q1], 2)]
+        found, expected, _ = _run_against_brute_force(
+            elements, rng.choice(matrices), {"max_degree": 1}, pool)
+        assert found == expected
 
 
 def test_phi_refutation_check():
