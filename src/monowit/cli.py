@@ -286,10 +286,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotInRing) as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return 2
-    except (ValueError, ZeroDivisionError) as ex:
+    except (ParseError, NotInRing, ValueError, ZeroDivisionError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 2
 

@@ -22,12 +22,6 @@ def one_like(c):
     return c.one()
 
 
-def invert_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(1) / c
-    return c.inverse()
-
-
 def exact_div_coeff(a, b):
     if isinstance(a, (int, Fraction)):
         return Fraction(a) / b

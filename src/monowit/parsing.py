@@ -228,6 +228,11 @@ _XVAR_RE = re.compile(r"X(\d+)")
 _NAME_RE = re.compile(r"[uv](?![A-Za-z0-9_])")
 _SIGNED_INT_RE = re.compile(r"[+-]?\d+")
 
+# Deepest nesting of parentheses and chained unary signs the recursive
+# descent accepts; each parenthesis level costs five Python frames, so
+# this stays well inside the default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, ctx: _Context, nvars: int | None):
@@ -235,6 +240,7 @@ class _Parser:
         self.pos = 0
         self.ctx = ctx
         self.nvars = nvars
+        self.depth = 0
 
     @property
     def poly_mode(self) -> bool:
@@ -257,6 +263,12 @@ class _Parser:
     def expect(self, ch: str):
         if not self.take(ch):
             raise ParseError(f"expected {ch!r} at position {self.pos}")
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} "
+                             f"at position {self.pos}")
 
     def fail(self, what: str):
         frag = self.text[self.pos:self.pos + 12]
@@ -294,10 +306,15 @@ class _Parser:
     # factor := ('+'|'-')* power
     def parse_factor(self):
         if self.take("-"):
-            return self._neg(self.parse_factor())
-        if self.take("+"):
-            return self.parse_factor()
-        return self.parse_power()
+            self.nest()
+            value = self._neg(self.parse_factor())
+        elif self.take("+"):
+            self.nest()
+            value = self.parse_factor()
+        else:
+            return self.parse_power()
+        self.depth -= 1
+        return value
 
     def parse_power(self):
         value, base = self.parse_atom()
@@ -332,8 +349,10 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
+            self.nest()
             value = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return value, None
         if ch == "X":
             m = self.match(_XVAR_RE)

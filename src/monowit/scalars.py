@@ -1,76 +1,113 @@
 """Exact scalar arithmetic with no floating point anywhere.
 
-Provides the ordered field Q(sqrt 2) (QuadScalar), univariate rational
-functions over Q in u (RatFun1), and bivariate rational functions over Q
-in u, v (RatFun2), all built on fractions.Fraction.
+Provides the ordered field Q(sqrt 2) (QuadScalar), held as a normalized
+integer triple (p, q, d) meaning (p + q*sqrt(2))/d, and univariate
+(RatFun1, in u) and bivariate (RatFun2, in u, v) rational functions over
+Q, whose coefficients are fractions.Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
+
+
+def _sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(2) for integers p, q."""
+    if p >= 0:
+        if q >= 0:
+            return 1 if p or q else 0
+        # mixed signs: the positive part dominates iff p^2 > 2 q^2
+        # (never equal for nonzero integers, as sqrt 2 is irrational)
+        return 1 if p * p > 2 * q * q else -1
+    if q <= 0:
+        return -1
+    return 1 if 2 * q * q > p * p else -1
+
+
+def _parts(x):
+    """(numerator, denominator) of an int or of anything Fraction takes."""
+    if isinstance(x, int):
+        return int(x), 1
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 class QuadScalar:
-    """A number rat + irr*sqrt(2) with rational rat, irr.
+    """The number (p + q*sqrt(2))/d of Q(sqrt 2), held as three ints.
 
-    Totally ordered by the real value; sign decisions compare rat^2
-    against 2*irr^2 with exact case analysis.
+    Normalized: d > 0 and gcd(p, q, d) == 1, so every value has exactly
+    one triple and equality is equality of slots. The hash, hash((p, q,
+    d)), is computed once when the value is built. rat = p/d and irr =
+    q/d are the Fraction views used by the printed forms.
+
+    Totally ordered by the real value; signs are decided on integers by
+    comparing p^2 against 2*q^2.
     """
 
-    __slots__ = ("rat", "irr")
+    __slots__ = ("p", "q", "d", "_hash")
 
-    def __init__(self, rat=0, irr=0):
-        object.__setattr__(self, "rat", Fraction(rat))
-        object.__setattr__(self, "irr", Fraction(irr))
+    def __new__(cls, rat=0, irr=0):
+        a, da = _parts(rat)
+        b, db = _parts(irr)
+        d = lcm(da, db)
+        return _make(a * (d // da), b * (d // db), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
 
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
     def sign(self) -> int:
-        a, b = self.rat, self.irr
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: value positive iff the positive part dominates,
-        # decided by a^2 vs 2 b^2 (never equal for nonzero rationals)
-        if a > 0:
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1
+        return _sign(self.p, self.q)
 
     def __add__(self, other):
-        other = coerce_quad(other)
-        return QuadScalar(self.rat + other.rat, self.irr + other.irr)
+        if not isinstance(other, QuadScalar):
+            other = coerce_quad(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p + other.p, self.q + other.q, d)
+        return _make(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = coerce_quad(other)
-        return QuadScalar(self.rat - other.rat, self.irr - other.irr)
+        if not isinstance(other, QuadScalar):
+            other = coerce_quad(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p - other.p, self.q - other.q, d)
+        return _make(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other):
         return coerce_quad(other).__sub__(self)
 
     def __neg__(self):
-        return QuadScalar(-self.rat, -self.irr)
+        return _make(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        other = coerce_quad(other)
-        return QuadScalar(
-            self.rat * other.rat + 2 * self.irr * other.irr,
-            self.rat * other.irr + self.irr * other.rat,
-        )
+        if not isinstance(other, QuadScalar):
+            other = coerce_quad(other)
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return _make(p * r + 2 * q * s, p * s + q * r, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadScalar":
-        norm = self.rat * self.rat - 2 * self.irr * self.irr
+        # d/(p + q sqrt2) = d (p - q sqrt2) / (p^2 - 2 q^2)
+        p, q, d = self.p, self.q, self.d
+        norm = p * p - 2 * q * q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero QuadScalar")
-        return QuadScalar(self.rat / norm, -self.irr / norm)
+        if norm < 0:
+            return _make(-d * p, d * q, -norm)
+        return _make(d * p, -d * q, norm)
 
     def __truediv__(self, other):
         return self * coerce_quad(other).inverse()
@@ -89,56 +126,58 @@ class QuadScalar:
         return result
 
     def __bool__(self):
-        return bool(self.rat) or bool(self.irr)
+        return bool(self.p or self.q)
 
     def __eq__(self, other):
-        try:
-            other = coerce_quad(other)
-        except TypeError:
-            return NotImplemented
-        return self.rat == other.rat and self.irr == other.irr
+        if not isinstance(other, QuadScalar):
+            try:
+                other = coerce_quad(other)
+            except TypeError:
+                return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
-        return hash((self.rat, self.irr))
+        return self._hash
 
     def __lt__(self, other):
-        return (self - coerce_quad(other)).sign() < 0
+        return _cmp(self, other) < 0
 
     def __le__(self, other):
-        return (self - coerce_quad(other)).sign() <= 0
+        return _cmp(self, other) <= 0
 
     def __gt__(self, other):
-        return (self - coerce_quad(other)).sign() > 0
+        return _cmp(self, other) > 0
 
     def __ge__(self, other):
-        return (self - coerce_quad(other)).sign() >= 0
+        return _cmp(self, other) >= 0
 
     def is_rational(self) -> bool:
-        return self.irr == 0
+        return self.q == 0
 
     def is_integer(self) -> bool:
-        return self.irr == 0 and self.rat.denominator == 1
+        return self.q == 0 and self.d == 1
 
     def floor(self) -> int:
         """Largest integer n with n <= self, exactly."""
-        a, b = self.rat, self.irr
-        if b == 0:
-            return floor(a)
-        # value lies in [a - 2|b|, a + 2|b|]; binary search with sign tests
-        spread = ceil(2 * abs(b))
-        lo, hi = floor(a) - spread - 1, ceil(a) + spread + 1
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            return p // d
+        # value lies in [(p - 2|q|)/d, (p + 2|q|)/d]; binary search on the
+        # sign of self - mid = (p - mid*d + q sqrt2)/d
+        spread = 2 * abs(q)
+        lo, hi = (p - spread) // d - 1, -((-p - spread) // d) + 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if (self - mid).sign() >= 0:
+            if _sign(p - mid * d, q) >= 0:
                 lo = mid
             else:
                 hi = mid - 1
         return lo
 
     def __str__(self):
-        if self.irr == 0:
+        if self.q == 0:
             return str(self.rat)
-        if self.irr > 0:
+        if self.q > 0:
             return f"{self.rat}+{self.irr} s2"
         return f"{self.rat}-{-self.irr} s2"
 
@@ -146,12 +185,44 @@ class QuadScalar:
         return f"QuadScalar({self.rat!r}, {self.irr!r})"
 
 
+_new_quad = object.__new__
+_set_p = QuadScalar.p.__set__
+_set_q = QuadScalar.q.__set__
+_set_d = QuadScalar.d.__set__
+_set_hash = QuadScalar._hash.__set__
+
+
+def _make(p: int, q: int, d: int) -> QuadScalar:
+    """The QuadScalar (p + q*sqrt(2))/d for ints p, q and d > 0."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = _new_quad(QuadScalar)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    _set_hash(x, hash((p, q, d)))
+    return x
+
+
+def _cmp(a: QuadScalar, b) -> int:
+    """Sign of a - b, from the cross-multiplied integer difference."""
+    if not isinstance(b, QuadScalar):
+        b = coerce_quad(b)
+    d, e = a.d, b.d
+    if d == e:
+        return _sign(a.p - b.p, a.q - b.q)
+    return _sign(a.p * e - b.p * d, a.q * e - b.q * d)
+
+
 def coerce_quad(x) -> QuadScalar:
     """Coerce an int, Fraction or QuadScalar to QuadScalar."""
     if isinstance(x, QuadScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return QuadScalar(x)
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to QuadScalar")
 
 

@@ -708,6 +708,8 @@ def independence_search(elements, matrix: OrderMatrix | None, max_degree: int, p
     A stats dict, when given, receives nodes (search nodes entered) and
     cut_by_support, cut_by_reach and cut_by_valuation (branches cut).
     """
+    if not elements:
+        raise ValueError("independence_search needs at least one element")
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     if exact_degree is not None and exact_degree < 0:

@@ -151,8 +151,14 @@ def test_search_reports_how_much_it_searched(capsys):
      "v", "v^(2)"],
     ["search", "--ring", "V", "--matrix", "1,1", "--exact-degree", "-1",
      "v", "v^(2)"],
+    ["witness", "--ring", "V", "--", "(" * 2000 + "v" + ")" * 2000, "v"],
+    ["witness", "--ring", "V", "--", "-" * 2000 + "v", "v"],
+    ["witness", "--ring", "V", "--", "+" * 2000 + "v", "v"],
+    ["witness", "--ring", "V", "--", "-(" * 1000 + "v" + ")" * 1000, "v"],
 ], ids=["compare_negative_column", "compare_zero_column",
-        "search_negative_max_degree", "search_negative_exact_degree"])
+        "search_negative_max_degree", "search_negative_exact_degree",
+        "witness_deep_parens", "witness_long_minus_chain",
+        "witness_long_plus_chain", "witness_deep_mixed_nesting"])
 def test_rejected_inputs_exit_2_without_output(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from monowit.laurent import LaurentPoly
 from monowit.orders import OrderMatrix, lex_matrix
 from monowit.parsing import (
+    MAX_NESTING,
     ParseError,
     parse_element,
     parse_matrix,
@@ -112,6 +113,24 @@ def test_element_rejections():
             parse_element(bad, ring)
     with pytest.raises(ParseError):
         parse_element("1", "Z")
+
+
+def test_nesting_limit_is_exact():
+    n = MAX_NESTING
+    v = parse_element("v", "V")
+    assert parse_element("(" * n + "v" + ")" * n, "V") == v
+    assert parse_element("-" * n + "v", "V") == v
+    assert parse_element("-" * (n - 1) + "v", "V") == -v
+    # sibling groups do not add up: depth is nesting, not a count of groups
+    assert parse_element("+".join(["(" * n + "1" + ")" * n] * 3), "V") == \
+        parse_element("3", "V")
+    for bad in ["(" * (n + 1) + "v" + ")" * (n + 1), "-" * (n + 1) + "v",
+                "-(" * (n // 2) + "(v" + ")" * (n // 2 + 1)]:
+        with pytest.raises(ParseError, match="nesting"):
+            parse_element(bad, "V")
+    with pytest.raises(ParseError, match="nesting"):
+        parse_poly("(" * (n + 1) + "X1" + ")" * (n + 1), "V")
+    assert parse_poly("(" * n + "X1" + ")" * n, "V") == parse_poly("X1", "V")
 
 
 def test_element_round_trip_v():

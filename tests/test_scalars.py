@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from monowit.scalars import (
     RatFun1,
     RatFun2,
     SQRT2,
+    coerce_quad,
     eval_at_v0,
     is_rational_constant,
     quad_floor_ratio,
@@ -267,3 +269,143 @@ def test_eval_at_v0_is_homomorphism_where_defined():
             continue
         assert es == ea + eb
         assert ep == ea * eb
+
+
+# ---------------------------------------------------------------------------
+# the integer triple (p + q*sqrt(2))/d behind QuadScalar
+
+
+def assert_normalized(x: QuadScalar):
+    assert type(x.p) is int and type(x.q) is int and type(x.d) is int
+    assert x.d > 0
+    assert gcd(x.p, x.q, x.d) == 1
+    assert hash(x) == hash((x.p, x.q, x.d))
+    assert x.rat == Fraction(x.p, x.d) and x.irr == Fraction(x.q, x.d)
+
+
+def sqrt2_convergents(count):
+    """(p, q) with p^2 - 2 q^2 = +-1: p/q approaches sqrt 2 from both sides."""
+    p, q, out = 1, 1, []
+    for _ in range(count):
+        out.append((p, q))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+def hard_quads():
+    """Values whose sign needs far more than the interval oracle's precision:
+    convergent pairs p - q sqrt2 of size up to about 1e12, their scalings, and
+    differences of near-equal large values."""
+    out = [QuadScalar(665857, -470832), QuadScalar(-665857, 470832),
+           QuadScalar(275807, -195025), QuadScalar(Fraction(665857, 3), -156944)]
+    for p, q in sqrt2_convergents(32)[8:]:
+        out.append(QuadScalar(p, -q))
+        out.append(QuadScalar(-2 * q, p) * Fraction(1, 7))
+        big, small = QuadScalar(Fraction(p, 5)), QuadScalar(0, Fraction(q, 5))
+        out.append(big - small)
+        out.append((big + QuadScalar(Fraction(1, 10 ** 30))) - small)
+    return out
+
+
+def sympy_value(x: QuadScalar):
+    sp = pytest.importorskip("sympy")
+    return (sp.Rational(x.rat.numerator, x.rat.denominator)
+            + sp.Rational(x.irr.numerator, x.irr.denominator) * sp.sqrt(2))
+
+
+def test_quad_sign_and_floor_against_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(111)
+    values = hard_quads() + [rand_quad(rng, span=10 ** 6, den=10 ** 4) for _ in range(60)]
+    for x in values:
+        exact = sympy_value(x)
+        assert x.sign() == quad_sign(x) == int(sp.sign(exact)), x
+        assert x.floor() == int(sp.floor(exact)), x
+
+
+def test_quad_order_against_sympy():
+    sp = pytest.importorskip("sympy")
+    hard = hard_quads()
+    rng = random.Random(112)
+    pairs = list(zip(hard, hard[1:])) + [(x, -x) for x in hard]
+    # near-equal operands: x against x plus or minus one convergent gap
+    pairs += [(x, x + y) for x, y in zip(hard, reversed(hard))]
+    pairs += [(rng.choice(hard), rand_quad(rng)) for _ in range(40)]
+    for a, b in pairs:
+        s = int(sp.sign(sympy_value(a) - sympy_value(b)))
+        assert (a < b, a <= b, a > b, a >= b, a == b) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+
+
+def test_quad_floor_ratio_against_sympy():
+    sp = pytest.importorskip("sympy")
+    positive = [x if x.sign() > 0 else -x for x in hard_quads()]
+    positive += [QuadScalar(p) for p, _ in sqrt2_convergents(30)[10:]]
+    positive += [QuadScalar(0, q) for _, q in sqrt2_convergents(30)[10:]]
+    rng = random.Random(113)
+    for _ in range(150):
+        alpha, beta = rng.choice(positive), rng.choice(positive)
+        assert sympy_value(alpha) > 0 and sympy_value(beta) > 0
+        # radsimp rewrites the quotient as r + s sqrt2: sympy's floor of the
+        # raw quotient misreads near-integers such as 8119 + 5741 sqrt2
+        ratio = sp.radsimp(sympy_value(alpha) / sympy_value(beta))
+        assert quad_floor_ratio(alpha, beta, "floor") == int(sp.floor(ratio))
+        assert quad_floor_ratio(alpha, beta, "ceil") == int(sp.ceiling(ratio))
+    p, q = sqrt2_convergents(30)[-1]
+    assert quad_floor_ratio(QuadScalar(p), QuadScalar(0, q), "floor") == \
+        int(sp.floor(sp.radsimp(sp.Integer(p) / (q * sp.sqrt(2)))))
+
+
+def test_quad_results_stay_normalized():
+    rng = random.Random(114)
+    values = hard_quads()[:12] + [rand_quad(rng) for _ in range(40)]
+    values += [QuadScalar(Fraction(2, 4), Fraction(6, 8)), QuadScalar(True),
+               coerce_quad(True), coerce_quad(False), coerce_quad(Fraction(-9, 6)),
+               QuadScalar(0), QuadScalar(-3, 0), QuadScalar(0, Fraction(-4, 6))]
+    for x in values:
+        assert_normalized(x)
+    for _ in range(300):
+        a, b = rng.choice(values), rng.choice(values)
+        results = [a + b, a - b, a * b, -a, a + 1, 1 - a, a * Fraction(3, 4), a ** 3]
+        if b:
+            results += [a / b, b.inverse(), b ** -2, 2 / b]
+        for r in results:
+            assert_normalized(r)
+
+
+def test_quad_rat_irr_are_views_and_slots_are_read_only():
+    x = QuadScalar(Fraction(2, 4), Fraction(6, 8))
+    assert (x.p, x.q, x.d) == (2, 3, 4)
+    assert x.rat == Fraction(1, 2) and x.irr == Fraction(3, 4)
+    assert x == QuadScalar(Fraction(1, 2), Fraction(3, 4))
+    for name in ("p", "q", "d", "rat", "irr"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert repr(x) == "QuadScalar(Fraction(1, 2), Fraction(3, 4))"
+
+
+def test_quad_equality_and_hash_do_not_depend_on_the_path():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fracs = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 60))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(fracs, fracs, fracs, fracs)
+    def check(a, b, c, e):
+        x, y = QuadScalar(a, b), QuadScalar(c, e)
+        paths = [QuadScalar(a) + QuadScalar(0, b), QuadScalar(a) + SQRT2 * b,
+                 (x + y) - y, -(-x), x * 1, coerce_quad(a) + b * SQRT2]
+        if y:
+            paths += [(x * y) / y, x / y * y]
+        if x:
+            paths += [x.inverse().inverse(), 1 / (1 / x)]
+        for z in paths:
+            assert_normalized(z)
+            assert z == x and hash(z) == hash(x)
+            assert (z.p, z.q, z.d) == (x.p, x.q, x.d)
+        same = (x.rat, x.irr) == (y.rat, y.irr)
+        assert (x == y) == same == (y == x)
+        if same:
+            assert hash(x) == hash(y)
+        assert ((x - y) == 0) == same
+
+    check()

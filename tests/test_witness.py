@@ -601,6 +601,11 @@ def test_independence_search_matches_brute_force_random():
         assert found == expected
 
 
+def test_independence_search_rejects_empty_element_list():
+    with pytest.raises(ValueError, match="at least one element"):
+        independence_search([], lex_matrix(1), 1, [0, 1])
+
+
 def test_phi_refutation_check():
     v = vu(1)
     uv = FractionElem(MonoidRingElem(QU, {QuadScalar(1): RatFun1.var()}))
